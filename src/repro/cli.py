@@ -9,7 +9,7 @@ Usage (also available as ``python -m repro``)::
     repro-search index   --archive records.worm --text "..." [--text "..."]
     repro-search index   --archive records.worm file1.txt ... [--batch-size N]
     repro-search search  --archive records.worm "stewart waksal" [--top-k K]
-                         [--verify] [--workers W] [--trace]
+                         [--verify] [--executor thread|process] [--trace]
                          [--read-cache] [--cache-policy lru|2q|slru]
                          [--cache-mb MB] [--repeat N]
                          [--metrics-json out.json]
@@ -130,7 +130,6 @@ def open_archive(
     *,
     create: Optional[EngineConfig] = None,
     shards: int = 1,
-    workers: Optional[int] = None,
     batch_size: int = 64,
     fsync: bool = False,
     group_commit: int = 1,
@@ -197,7 +196,6 @@ def open_archive(
         num_shards=shards,
         store_factory=shard_store,
         coordinator_store=store,
-        max_workers=workers,
         batch_size=batch_size,
         executor=executor,
         shard_paths=[_shard_path(path, i) for i in range(shards)],
@@ -304,7 +302,6 @@ def _cmd_search(args) -> int:
         return 2
     engine, archive = open_archive(
         args.archive,
-        workers=args.workers,
         read_cache=args.read_cache,
         cache_policy=args.cache_policy,
         cache_mb=args.cache_mb,
@@ -571,7 +568,6 @@ def _cmd_loadtest(args) -> int:
                 os.path.join(tmp, "archive.worm"),
                 create=engine_config,
                 shards=args.shards,
-                workers=args.workers,
                 executor="process",
             )
             try:
@@ -592,7 +588,6 @@ def _cmd_loadtest(args) -> int:
         engine = ShardedSearchEngine(
             engine_config,
             num_shards=args.shards,
-            max_workers=args.workers,
         )
         try:
             result = run_load_test(engine, config)
@@ -759,7 +754,6 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             config=config,
-            workers=args.workers,
             fsync=args.fsync,
             group_commit=args.group_commit,
             read_cache=args.read_cache,
@@ -890,11 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify results against WORM documents; quarantine stuffing",
     )
     search.add_argument(
-        "--workers", type=int, default=None,
-        help="query fan-out threads on a sharded archive (default: one "
-        "per shard)",
-    )
-    search.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
         help="sharded query fan-out: 'thread' shares the interpreter, "
         "'process' spawns one worker process per shard (default: thread)",
@@ -1021,11 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port; 0 picks a free one (default: 8080)",
     )
     serve.add_argument(
-        "--workers", type=int, default=None,
-        help="query fan-out threads on a sharded archive (default: one "
-        "per shard)",
-    )
-    serve.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
         help="sharded query fan-out: 'thread' shares the interpreter, "
         "'process' spawns one worker process per shard (default: thread)",
@@ -1119,10 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shards of the ephemeral archive (default: 2)",
     )
     loadtest.add_argument(
-        "--workers", type=int, default=None,
-        help="per-query fan-out threads (default: one per shard)",
-    )
-    loadtest.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
         help="query fan-out of the ephemeral archive: 'process' builds it "
         "file-backed in a temp directory and spawns one worker process "
@@ -1147,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--endpoint", default=None, metavar="URL",
         help="drive a running 'repro-search serve' instance over HTTP "
         "(e.g. http://127.0.0.1:8080) instead of an ephemeral "
-        "in-process engine; --shards/--workers are then ignored",
+        "in-process engine; --shards is then ignored",
     )
     loadtest.add_argument(
         "--out", default=None, metavar="PATH",

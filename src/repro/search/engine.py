@@ -56,7 +56,7 @@ from repro.search.documents import DocumentStore
 from repro.search.join import MergedListCursor, conjunctive_join
 from repro.search.lexicon import PrefixHashLexicon
 from repro.search.query import QueryMode, parse_query
-from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer
+from repro.search.ranking import CollectionStats
 from repro.search.readcache import ReadCache
 from repro.worm.cache import READ_CACHE_POLICIES
 from repro.worm.storage import CachedWormStore
@@ -138,8 +138,14 @@ class EngineConfig:
         How many popular terms get unmerged lists under ``"popular"`` /
         ``"epoch"``.
     merge_at_segments:
-        Run an online merge once this many segments are live (the
-        background merger's trigger); ``None`` disables auto-merging.
+        Fan-in of the size-tiered auto-merge after every seal: a
+        segment's tier is the smallest ``t`` with ``doc_count <=
+        tail_max_docs * merge_at_segments**t``, and once the newest
+        ``merge_at_segments`` live segments share a tier they merge into
+        one (which may cascade).  At most ``merge_at_segments - 1``
+        segments stay live per tier, and each posting is rewritten once
+        per tier it climbs.  ``None`` disables auto-merging; an explicit
+        ``merge_segments()`` merges every live segment.
     """
 
     num_lists: int = 1024
@@ -251,11 +257,6 @@ class TrustworthySearchEngine:
         self.analyzer = Analyzer()
         self.documents = DocumentStore(self.store)
         self.stats = CollectionStats()
-        self._scorer = (
-            BM25Scorer(self.stats)
-            if self.config.ranking == "bm25"
-            else CosineScorer(self.stats)
-        )
         self._merge = merge_strategy or UniformHashMerge(self.config.num_lists)
         self._assignment: Optional[TermAssignment] = None
         self.time_index = CommitTimeIndex(self.store, "engine/commit-times")
@@ -685,7 +686,7 @@ class TrustworthySearchEngine:
         manifest record last — the atomic step; a crash before it leaves
         only orphan files that recovery ignores and never overwrites.
         Returns the new segment number (``None`` on an empty tail).
-        Auto-merges afterwards when ``merge_at_segments`` is reached.
+        Auto-merges afterwards (size-tiered, see :meth:`_auto_merge`).
         """
         tail = self._require_tail()
         if tail.doc_count == 0:
@@ -720,31 +721,49 @@ class TrustworthySearchEngine:
             self._c_seals.inc()
             self._g_tail_docs.set(0)
             self._g_segments.set(len(self._segments))
-        if (
-            self.config.merge_at_segments is not None
-            and len(self._segments) >= self.config.merge_at_segments
-        ):
-            self.merge_segments()
+        self._auto_merge()
         return seg_no
 
-    def merge_segments(self) -> Optional[int]:
-        """Merge every live segment into one, online (Section 3.3).
+    def _size_tier(self, doc_count: int) -> int:
+        """Smallest ``t`` with ``doc_count <= tail_max_docs * merge_at_segments**t``."""
+        tier, bound = 0, self.config.tail_max_docs
+        while doc_count > bound:
+            tier, bound = tier + 1, bound * self.config.merge_at_segments
+        return tier
 
-        Gathers postings per term across the live segments (doc order is
-        preserved — segment doc ranges are disjoint and ascending),
-        re-chooses the term→list assignment from the combined
-        popularity, writes the merged segment, and retires the inputs
-        with a single manifest append.  Readers holding an older
-        :meth:`index_view` keep their segments; the retired segments'
-        read-cache entries are dropped.  Returns the merged segment
-        number (``None`` with fewer than two live segments).
+    def _auto_merge(self) -> None:
+        """Size-tiered merging after a seal (see ``merge_at_segments``):
+        merge the trailing run of the newest segment's tier once it holds
+        ``merge_at_segments`` segments, and repeat (a cascade)."""
+        fan_in = self.config.merge_at_segments
+        while fan_in is not None:
+            tiers = [self._size_tier(s.info.doc_count) for s in self._segments]
+            start = len(tiers)
+            while start > 0 and tiers[start - 1] == tiers[-1]:
+                start -= 1
+            if len(tiers) - start < fan_in:
+                return
+            self.merge_segments(start=start)
+
+    def merge_segments(self, *, start: int = 0) -> Optional[int]:
+        """Merge the live segments from position ``start`` on (default:
+        all of them) into one, online (Section 3.3).
+
+        Gathers postings per term across the run (doc order is preserved
+        — segment doc ranges are disjoint and ascending), re-chooses the
+        term→list assignment from the combined popularity, writes the
+        merged segment, and retires the inputs with a single manifest
+        append.  Readers holding an older :meth:`index_view` keep their
+        segments.  Returns the merged segment number (``None`` with
+        fewer than two segments in the run).
         """
         self._require_tail()
         self._load_manifest()
-        if len(self._segments) < 2:
+        if len(self._segments) - start < 2:
             return None
+        run = self._segments[start:]
         merged: Dict[int, List[Tuple[int, int]]] = {}
-        for segment in self._segments:
+        for segment in run:
             for term_id, entries in segment.postings_by_term().items():
                 merged.setdefault(term_id, []).extend(entries)
         counts = {t: len(entries) for t, entries in merged.items()}
@@ -759,7 +778,7 @@ class TrustworthySearchEngine:
             popular_terms=popular,
             branching=self.config.branching,
         )
-        inputs = [segment.info for segment in self._segments]
+        inputs = [segment.info for segment in run]
         info = SegmentInfo(
             seg_no=seg_no,
             first_doc=inputs[0].first_doc,
@@ -771,17 +790,20 @@ class TrustworthySearchEngine:
             inputs=tuple(i.seg_no for i in inputs),
         )
         retired_files = [
-            name
-            for segment in self._segments
-            for name in segment.list_file_names()
+            name for segment in run for name in segment.list_file_names()
         ]
         self._manifest.append(info)
-        self._segments = [self._attach_segment(info)]
+        self._segments[start:] = [self._attach_segment(info)]
+        # Segment-retirement hook: the retired lists can never be read
+        # again (merges run under the writer lock, so no reader still
+        # holds a retired view), so their decoded blocks, jump memos and
+        # block-cache keys are dead weight.
         if self.read_cache is not None:
-            # Segment-retirement hook: the retired lists can never be
-            # read again, so their decoded blocks and jump memos are
-            # dead weight.
             self.read_cache.forget_lists(retired_files)
+        device, cache = self.store.device, self.store.cache
+        for name in retired_files:
+            for block_no in range(device.open_file(name).num_blocks):
+                cache.invalidate((name, block_no))
         if self._metrics_on:
             self._c_merges.inc()
             self._g_segments.set(len(self._segments))
@@ -1035,19 +1057,20 @@ class TrustworthySearchEngine:
                 span.note(
                     terms=len(query.terms), mode=query.mode.name.lower()
                 )
-        candidates = self.match(query, trace=trace)
-        with self._stage("rank", trace, candidates=len(candidates)) as span:
-            # Bulk scoring: one pass over all candidates with per-call
-            # idf/length-norm memoization — bit-identical to scoring
-            # each document individually (see BM25Scorer.score_candidates).
-            results = [
-                SearchResult(doc_id=d, score=s)
-                for d, s in self._scorer.score_candidates(candidates)
-            ]
-            results.sort(key=lambda r: (-r.score, r.doc_id))
-            results = results[:top_k]
-            if span is not None:
-                span.note(scorer="bulk", scored=len(candidates))
+        # The one-shard case of the sharded query kernel: match, bulk
+        # scoring under this engine's own statistics, top-k selection.
+        from repro.sharding.executor import shard_query
+
+        stats = self.stats
+        results, _ = shard_query(
+            self,
+            query,
+            stats.df,
+            stats.num_docs,
+            stats.avg_doc_length,
+            top_k,
+            trace=trace,
+        )
         if self._metrics_on:
             self._mode_series(query.mode.name.lower()).inc()
         should_verify = self.config.verify_results if verify is None else verify

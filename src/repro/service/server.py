@@ -632,7 +632,7 @@ def serve_archive(
     """Open the archive at ``archive_path`` once and wrap it in a server.
 
     ``open_kwargs`` pass through to :func:`repro.cli.open_archive`
-    (durability knobs, read cache, workers...).  The returned server is
+    (durability knobs, read cache, executor...).  The returned server is
     not yet started; use ``with serve_archive(...) as server:`` or call
     :meth:`ArchiveServer.start` / :meth:`ArchiveServer.serve_forever`.
     Draining the server closes the archive.

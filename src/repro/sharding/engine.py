@@ -8,9 +8,9 @@ instances and recovers the single-engine API on top:
   (:mod:`repro.sharding.router`), committing the global↔local mapping to
   WORM, and indexes each shard's group in one batched pass
   (:mod:`repro.sharding.batch`);
-* **search** fans out to every shard on a thread pool, re-ranks under
-  aggregated collection statistics, and heap-merges the per-shard runs
-  (:mod:`repro.sharding.executor`);
+* **search** runs one query kernel per shard — match, bulk scoring
+  under aggregated collection statistics, top-k selection — and
+  heap-merges the per-shard winners (:mod:`repro.sharding.executor`);
 * **trust** is preserved compositionally: every shard enforces the
   paper's invariants over its own monotonic local IDs, the document map
   is append-only and self-verifying, and result verification /
@@ -94,13 +94,12 @@ class ShardedSearchEngine:
     coordinator_store:
         WORM store for cross-shard state (document map, global incident
         log).  Defaults to a fresh in-memory store.
-    max_workers:
-        Query fan-out thread-pool width (default: one per shard).
     batch_size:
         Auto-flush threshold of the buffered ingest path.
     executor:
-        ``"thread"`` (default) fans queries out on a thread pool over
-        the in-process shard engines; ``"process"`` spawns one worker
+        ``"thread"`` (default) runs the query kernel over the in-process
+        shard engines inline, one shard after another, in the calling
+        thread; ``"process"`` spawns one worker
         process per shard (GIL-free matching and scoring) — requires
         ``shard_paths``, and workers see a snapshot of each shard
         journal taken at spawn (``executor.refresh()`` after ingest
@@ -125,7 +124,6 @@ class ShardedSearchEngine:
         num_shards: int = 2,
         store_factory: Optional[Callable[[int], CachedWormStore]] = None,
         coordinator_store: Optional[CachedWormStore] = None,
-        max_workers: Optional[int] = None,
         batch_size: int = 64,
         executor: str = "thread",
         shard_paths: Optional[Sequence[str]] = None,
@@ -184,7 +182,6 @@ class ShardedSearchEngine:
                 self.shards,
                 self.router,
                 self.config,
-                max_workers=max_workers,
                 analyzer=self.analyzer,
                 metrics=self.metrics,
             )
@@ -213,7 +210,7 @@ class ShardedSearchEngine:
         return len(self.shards)
 
     def close(self) -> None:
-        """Release the query thread pool (engine state stays usable)."""
+        """Release the query executor (engine state stays usable)."""
         self.executor.close()
 
     def sync(self) -> None:
@@ -295,8 +292,9 @@ class ShardedSearchEngine:
         """Run a query across all shards; returns global ranked results.
 
         Pass a :class:`~repro.observability.trace.QueryTrace` as
-        ``trace`` to record the fan-out: one span per shard (with the
-        queue/execution split), the heap merge, and verification.
+        ``trace`` to record the fan-out: one span per shard (candidates
+        scored, winners kept, queue wait), the heap merge, and
+        verification.
         """
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)

@@ -1,18 +1,28 @@
-"""Parallel query fan-out over shards with globally consistent ranking.
+"""Query fan-out over shards with globally consistent ranking.
 
-A query against a sharded archive runs in three stages:
+Every query, sharded or not, runs the same per-shard kernel,
+:func:`shard_query`:
 
-1. **fan-out** — every shard matches the query independently (its own
-   merged lists, jump indexes, commit-time index, and disposition log),
-   on a thread pool, producing per-shard candidate sets;
-2. **global re-rank** — candidates are scored with the engine's
-   configured scorer (BM25 or cosine) under *aggregated* collection
-   statistics (global document count, global document frequencies,
-   global average length), so a document's score does not depend on
-   which shard it landed on;
-3. **k-way merge** — per-shard ranked runs, already sorted by
-   ``(-score, global_id)``, are merged with a heap
-   (:func:`heapq.merge`) and cut at ``top_k``.
+1. **match** — the shard matches the query against its own merged
+   lists, jump indexes, commit-time index and disposition log;
+2. **score** — every candidate is bulk-scored
+   (:meth:`~repro.search.ranking.BM25Scorer.score_candidates`) under the
+   *aggregated* collection statistics (global document count, global
+   document frequencies, global average length), so a document's score
+   does not depend on which shard it landed on;
+3. **select** — a bounded heap keeps the ``top_k`` best candidates under
+   the global order ``(-score, global_id)``;
+4. **materialise** — only those winners become
+   :class:`~repro.search.engine.SearchResult` objects with global IDs.
+
+A single engine is the one-shard case.  :class:`ParallelQueryExecutor`
+runs the kernel over in-process shards inline, in shard order: the
+shards share one interpreter lock, so a thread pool would only add
+handoff latency (the service already runs one handler thread per
+request).  :class:`ProcessShardExecutor` runs it in one worker process
+per shard, the source of real parallelism, and only the ``top_k``
+winners cross the pipe.  Either way the per-shard runs are heap-merged
+(:func:`heapq.merge`) and cut at ``top_k``.
 
 Because the aggregated statistics equal what a single unsharded engine
 would compute over the same corpus, a K-shard archive returns the same
@@ -27,9 +37,11 @@ import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.errors as _errors
 from repro.errors import WorkloadError
@@ -37,8 +49,8 @@ from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
 from repro.search.engine import EngineConfig, SearchResult
 from repro.search.query import Query, parse_query
-from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer
-from repro.sharding.router import ShardRouter
+from repro.search.ranking import BM25Scorer, CosineScorer
+from repro.sharding.router import ShardRouter, synthetic_global_id
 
 
 @dataclass(frozen=True)
@@ -53,41 +65,135 @@ class AggregatedTermStats:
     num_docs: int
     avg_doc_length: float
 
+    @classmethod
+    def from_sums(
+        cls, df: Dict[int, int], num_docs: int, total_length: int
+    ) -> "AggregatedTermStats":
+        """The statistics from per-shard counts summed across shards."""
+        avg_doc_length = max(1.0, total_length / num_docs) if num_docs else 1.0
+        return cls(df=df, num_docs=num_docs, avg_doc_length=avg_doc_length)
 
-class _ShardScopedStats:
-    """A :class:`CollectionStats`-compatible view for scoring one shard.
-
-    Global quantities (document count, document frequencies, average
-    length) come from the cross-shard aggregate; per-document lengths are
-    answered by the owning shard's own statistics, keyed by local ID.
-    """
-
-    __slots__ = ("df", "_num_docs", "_avg_doc_length", "_local")
-
-    def __init__(self, aggregate: AggregatedTermStats, local: CollectionStats):
-        self.df = aggregate.df
-        self._num_docs = aggregate.num_docs
-        self._avg_doc_length = aggregate.avg_doc_length
-        self._local = local
-
-    @property
-    def num_docs(self) -> int:
-        return self._num_docs
-
-    @property
-    def avg_doc_length(self) -> float:
-        return self._avg_doc_length
-
-    def doc_length(self, doc_id: int) -> int:
-        return self._local.doc_length(doc_id)
+    def df_for(self, engine, terms: Sequence[str]) -> Dict[int, int]:
+        """The document frequencies re-keyed to ``engine``'s term IDs."""
+        df: Dict[int, int] = {}
+        for position, term in enumerate(terms):
+            term_id = engine.term_id(term)
+            if term_id is not None:
+                df[term_id] = self.df[position]
+        return df
 
 
 def _merge_key(result: SearchResult) -> Tuple[float, int]:
     return (-result.score, result.doc_id)
 
 
+def shard_query(
+    engine,
+    query: Query,
+    df_by_term_id: Dict[int, int],
+    num_docs: int,
+    avg_len: float,
+    top_k: int,
+    *,
+    to_global: Optional[Callable[[int], int]] = None,
+    trace=None,
+) -> Tuple[List[SearchResult], int]:
+    """One shard's share of a query: match, score, select, materialise.
+
+    ``df_by_term_id`` holds the (possibly cross-shard) document
+    frequencies keyed by ``engine``'s own term IDs — the keys of its
+    candidate maps, so no candidate is re-keyed.  ``num_docs`` and
+    ``avg_len`` complete the statistics; document lengths come from
+    ``engine``.  ``to_global`` maps local IDs to the IDs results carry
+    and are ordered by (identity when omitted); it is called only for
+    candidates scoring at least the ``top_k``-th best score.
+
+    Returns the ``top_k`` best results, sorted by ``(-score, doc_id)``,
+    and the number of candidates scored.  Scoring and selection are
+    timed as the engine's ``rank`` stage.
+    """
+    if trace is None:
+        candidates = engine.match(query)
+    else:
+        candidates = engine.match(query, trace=trace)
+    with engine._stage("rank", trace, candidates=len(candidates)) as span:
+        stats = SimpleNamespace(
+            df=df_by_term_id,
+            num_docs=num_docs,
+            avg_doc_length=avg_len,
+            doc_length=engine.stats.doc_length,
+        )
+        scorer = (BM25Scorer if engine.config.ranking == "bm25" else CosineScorer)(stats)
+        scored = scorer.score_candidates(candidates)
+        if 0 < top_k < len(scored):
+            # Only candidates scoring at least the k-th best score can
+            # win; their global IDs decide the ties at that score.
+            cut = heapq.nlargest(top_k, [score for _, score in scored])[-1]
+            scored = [pair for pair in scored if pair[1] >= cut]
+        if to_global is not None:
+            scored = [(to_global(doc_id), score) for doc_id, score in scored]
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        results = [SearchResult(doc_id=d, score=s) for d, s in scored[:top_k]]
+        if span is not None:
+            span.note(scorer="bulk", scored=len(candidates), kept=len(results))
+    return results, len(candidates)
+
+
+def _merge_runs(
+    runs: List[List[SearchResult]], top_k: int, trace
+) -> List[SearchResult]:
+    """Heap-merge per-shard runs sorted by ``(-score, global_id)``."""
+    merge_start = perf_counter()
+    results = list(islice(heapq.merge(*runs, key=_merge_key), top_k))
+    if trace is not None:
+        trace.record(
+            "merge",
+            start=merge_start,
+            end=perf_counter(),
+            runs=len(runs),
+            results=len(results),
+        )
+    return results
+
+
+def _tag_shard_failure(exc: BaseException, shard_index: int, where: str) -> None:
+    """Attach the failing shard to ``exc`` without changing its type
+    (``TamperDetectedError`` handling upstream keeps working)."""
+    try:
+        exc.shard_index = shard_index
+    except AttributeError:  # pragma: no cover - slotted exception
+        pass
+    if hasattr(exc, "add_note"):  # Python 3.11+
+        exc.add_note(f"raised by shard {shard_index} during {where}")
+
+
+def _register_fanout_metrics(metrics, num_shards: int):
+    """The fan-out counter, queue-wait family and per-shard run series
+    both executors share."""
+    fanout = metrics.counter(
+        "repro_fanout_queries_total",
+        "Queries fanned out across shards by the executor",
+    )
+    queue_family = metrics.histogram(
+        "repro_shard_queue_seconds",
+        "Time a shard sub-query waited for a fan-out worker",
+        labels=("shard",),
+    )
+    run_family = metrics.histogram(
+        "repro_shard_run_seconds",
+        "Time a shard sub-query spent matching and scoring",
+        labels=("shard",),
+    )
+    run_series = [run_family.labels(shard=i) for i in range(num_shards)]
+    return fanout, queue_family, run_series
+
+
 class ParallelQueryExecutor:
-    """Fans queries out to every shard and merges the ranked runs.
+    """Runs queries over in-process shards and merges the ranked runs.
+
+    Shards run inline in the calling thread, in shard order; a shard
+    failure stops the query before any later shard runs and re-raises
+    with the shard's index attached.
 
     Parameters
     ----------
@@ -97,10 +203,6 @@ class ParallelQueryExecutor:
         Translates shard-local document IDs back to global IDs.
     config:
         Engine configuration (selects the ranking scorer).
-    max_workers:
-        Thread-pool width; defaults to one thread per shard.  The pool
-        is created lazily on the first multi-shard query, so ingest-only
-        sessions never spawn threads.
     analyzer:
         Query analyzer; defaults to a fresh :class:`Analyzer` matching
         the shard engines' defaults.
@@ -116,7 +218,6 @@ class ParallelQueryExecutor:
         router: ShardRouter,
         config: EngineConfig,
         *,
-        max_workers: Optional[int] = None,
         analyzer: Optional[Analyzer] = None,
         metrics=None,
     ):
@@ -124,31 +225,15 @@ class ParallelQueryExecutor:
         self.router = router
         self.config = config
         self.analyzer = analyzer or Analyzer()
-        self._max_workers = max_workers or max(1, len(self.shards))
         self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._metrics_on = bool(self.metrics.enabled)
-        self._c_fanout = self.metrics.counter(
-            "repro_fanout_queries_total",
-            "Queries fanned out across shards by the executor",
+        # Shards never wait for a worker here, so the queue-wait family
+        # stays empty; it is registered for the process executor's sake.
+        self._c_fanout, _, self._run_series = _register_fanout_metrics(
+            self.metrics, len(self.shards)
         )
-        queue_family = self.metrics.histogram(
-            "repro_shard_queue_seconds",
-            "Time a shard sub-query waited for a fan-out worker",
-            labels=("shard",),
-        )
-        run_family = self.metrics.histogram(
-            "repro_shard_run_seconds",
-            "Time a shard sub-query spent matching and scoring",
-            labels=("shard",),
-        )
-        self._queue_series = [
-            queue_family.labels(shard=i) for i in range(len(self.shards))
-        ]
-        self._run_series = [
-            run_family.labels(shard=i) for i in range(len(self.shards))
-        ]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -160,32 +245,33 @@ class ParallelQueryExecutor:
 
     @property
     def pool(self) -> ThreadPoolExecutor:
-        """The (lazily created) fan-out thread pool.
+        """An idle thread pool, created lazily; nothing is submitted to it.
 
-        Raises :class:`~repro.errors.WorkloadError` after :meth:`close`:
-        silently respawning the pool would resurrect an executor its
-        owner already released (and leak the new pool, since the owner
-        will not close twice).
+        It exists only because the repository benchmark's traced runs
+        (``perfbench/probes.py``) wrap the executor's pool.  Raises
+        :class:`~repro.errors.WorkloadError` after :meth:`close`.
         """
-        if self._closed:
-            raise WorkloadError(
-                "query executor is closed; open a new engine to run queries"
-            )
+        self._require_open()
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="shard-query",
+                max_workers=1, thread_name_prefix="shard-query"
             )
         return self._pool
 
     def close(self) -> None:
-        """Shut down the fan-out pool (idempotent; queries now error)."""
+        """Release the executor (idempotent; queries now error)."""
         if self._closed:
             return
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise WorkloadError(
+                "query executor is closed; open a new engine to run queries"
+            )
 
     # ------------------------------------------------------------------
     # query path
@@ -194,59 +280,21 @@ class ParallelQueryExecutor:
         """Run ``query`` across all shards; returns global ranked results.
 
         With a :class:`~repro.observability.trace.QueryTrace` attached,
-        each shard contributes a ``shard`` span (recorded from its worker
-        thread) whose ``queue_seconds`` attribute separates pool wait
-        from execution; the final heap merge gets a ``merge`` span.
+        each shard contributes a ``shard`` span (``scored`` candidates,
+        ``kept`` winners, ``queue_seconds`` always 0) holding that
+        shard's own stage spans; the final heap merge gets a ``merge``
+        span.
         """
-        if self._closed:
-            raise WorkloadError(
-                "query executor is closed; open a new engine to run queries"
-            )
+        self._require_open()
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)
         self._c_fanout.inc()
         aggregate = self.aggregate_term_stats(query.terms)
-        submitted = perf_counter()
-        if len(self.shards) == 1:
-            runs = [self._timed_shard_run(0, query, aggregate, submitted, trace)]
-        else:
-            futures = [
-                self.pool.submit(
-                    self._timed_shard_run, i, query, aggregate, submitted, trace
-                )
-                for i in range(len(self.shards))
-            ]
-            runs = []
-            shard_index = -1
-            try:
-                for shard_index, future in enumerate(futures):
-                    runs.append(future.result())
-            except Exception as exc:
-                # One shard failed: stop sibling shards that have not
-                # started, then surface the failure with the shard
-                # attached (type-preserving, so TamperDetectedError
-                # handling upstream keeps working).
-                for pending in futures:
-                    pending.cancel()
-                try:
-                    exc.shard_index = shard_index
-                except AttributeError:  # pragma: no cover - slotted exc
-                    pass
-                if hasattr(exc, "add_note"):  # Python 3.11+
-                    exc.add_note(f"raised by shard {shard_index} during query fan-out")
-                raise
-        merge_start = perf_counter()
-        merged = heapq.merge(*runs, key=_merge_key)
-        results = list(islice(merged, top_k))
-        if trace is not None:
-            trace.record(
-                "merge",
-                start=merge_start,
-                end=perf_counter(),
-                runs=len(runs),
-                results=len(results),
-            )
-        return results
+        runs = [
+            self._shard_run(index, query, aggregate, top_k, trace)
+            for index in range(len(self.shards))
+        ]
+        return _merge_runs(runs, top_k, trace)
 
     def aggregate_term_stats(
         self, terms: Sequence[str]
@@ -267,85 +315,50 @@ class ParallelQueryExecutor:
             df[position] = total
         num_docs = sum(shard.stats.num_docs for shard in self.shards)
         total_length = sum(shard.stats.total_length for shard in self.shards)
-        if num_docs:
-            avg_doc_length = max(1.0, total_length / num_docs)
-        else:
-            avg_doc_length = 1.0
-        return AggregatedTermStats(
-            df=df, num_docs=num_docs, avg_doc_length=avg_doc_length
-        )
-
-    def _scorer(self, stats):
-        if self.config.ranking == "bm25":
-            return BM25Scorer(stats)
-        return CosineScorer(stats)
-
-    def _timed_shard_run(
-        self,
-        shard_index: int,
-        query: Query,
-        aggregate: AggregatedTermStats,
-        submitted: float,
-        trace,
-    ) -> List[SearchResult]:
-        """Run one shard sub-query, splitting pool-queue wait from execution."""
-        run_start = perf_counter()
-        result = self._shard_run(shard_index, query, aggregate)
-        run_end = perf_counter()
-        if self._metrics_on:
-            self._queue_series[shard_index].observe(run_start - submitted)
-            self._run_series[shard_index].observe(run_end - run_start)
-        if trace is not None:
-            trace.record(
-                "shard",
-                start=run_start,
-                end=run_end,
-                shard=shard_index,
-                queue_seconds=run_start - submitted,
-                results=len(result),
-            )
-        return result
+        return AggregatedTermStats.from_sums(df, num_docs, total_length)
 
     def _shard_run(
         self,
-        shard_index: int,
+        index: int,
         query: Query,
         aggregate: AggregatedTermStats,
+        top_k: int,
+        trace,
     ) -> List[SearchResult]:
-        """Match + globally score one shard; returns a sorted run."""
-        shard = self.shards[shard_index]
-        candidates: Mapping[int, Mapping[int, int]] = shard.match(query)
-        if not candidates:
-            return []
-        position_of: Dict[int, int] = {}
-        for position, term in enumerate(query.terms):
-            term_id = shard.term_id(term)
-            if term_id is not None:
-                position_of[term_id] = position
-        scorer = self._scorer(_ShardScopedStats(aggregate, shard.stats))
-        to_global = self.router.to_global
-        run: List[SearchResult] = []
-        for local_id, freqs in candidates.items():
-            term_freqs = {
-                position_of[term_id]: tf
-                for term_id, tf in freqs.items()
-                if term_id in position_of
-            }
-            run.append(
-                SearchResult(
-                    doc_id=to_global(shard_index, local_id),
-                    score=scorer.score(local_id, term_freqs),
-                )
+        """One shard's kernel run, timed and traced; failures tagged."""
+        shard = self.shards[index]
+        span = (
+            trace.begin("shard", shard=index, queue_seconds=0.0)
+            if trace is not None
+            else None
+        )
+        start = perf_counter()
+        try:
+            run, scored = shard_query(
+                shard,
+                query,
+                aggregate.df_for(shard, query.terms),
+                aggregate.num_docs,
+                aggregate.avg_doc_length,
+                top_k,
+                to_global=partial(self.router.to_global, index),
+                trace=trace,
             )
-        run.sort(key=_merge_key)
+        except Exception as exc:
+            _tag_shard_failure(exc, index, "query fan-out")
+            raise
+        finally:
+            if span is not None:
+                trace.finish(span)
+        if self._metrics_on:
+            self._run_series[index].observe(perf_counter() - start)
+        if span is not None:
+            span.note(scored=scored, kept=len(run))
         return run
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "idle" if self._pool is None else "pooled"
-        return (
-            f"ParallelQueryExecutor(shards={len(self.shards)}, "
-            f"workers={self._max_workers}, {state})"
-        )
+        state = "closed" if self._closed else "open"
+        return f"ParallelQueryExecutor(shards={len(self.shards)}, {state})"
 
 
 # ----------------------------------------------------------------------
@@ -371,16 +384,22 @@ def _open_shard_engine(shard_path: str, config: EngineConfig):
     )
 
 
-def _shard_worker_main(conn, shard_index: int, shard_path: str, config) -> None:
+def _shard_worker_main(
+    conn, shard_index: int, shard_path: str, config, num_shards: int
+) -> None:
     """Worker process entry point: serve stats/query requests over a pipe.
 
     Protocol (parent -> worker / worker -> parent), one reply per
     request, all payloads plain picklable values:
 
     * ``("stats", terms)`` -> ``("ok", (df_list, num_docs, total_length))``
-    * ``("query", query, aggregate)`` ->
-      ``("ok", ([(local_id, score), ...], run_seconds))`` with the run
-      sorted by ``(-score, local_id)``
+    * ``("query", query, aggregate, top_k, shard_size)`` ->
+      ``("ok", ([(doc_key, score), ...], scored, run_seconds))``: the
+      :func:`shard_query` winners, where ``doc_key`` is the local ID of
+      a mapped document (``local_id < shard_size``, the parent's
+      document-map size for this shard) and the router's negative
+      synthetic global ID of an unmapped one — ordered exactly as the
+      global IDs they stand for
     * ``("close",)`` -> worker exits (no reply)
     * any failure -> ``("error", exception_type_name, message)``
     """
@@ -391,6 +410,12 @@ def _shard_worker_main(conn, shard_index: int, shard_path: str, config) -> None:
         conn.close()
         return
     conn.send(("ok", len(engine.documents)))
+
+    def doc_key(shard_size: int, local_id: int) -> int:
+        if local_id < shard_size:
+            return local_id
+        return synthetic_global_id(shard_index, local_id, num_shards)
+
     try:
         while True:
             try:
@@ -415,10 +440,19 @@ def _shard_worker_main(conn, shard_index: int, shard_path: str, config) -> None:
                         ("ok", (df, engine.stats.num_docs, engine.stats.total_length))
                     )
                 elif op == "query":
-                    _, query, aggregate = request
+                    _, query, aggregate, top_k, shard_size = request
                     started = perf_counter()
-                    run = _score_shard_locally(engine, query, aggregate, config)
-                    conn.send(("ok", (run, perf_counter() - started)))
+                    run, scored = shard_query(
+                        engine,
+                        query,
+                        aggregate.df_for(engine, query.terms),
+                        aggregate.num_docs,
+                        aggregate.avg_doc_length,
+                        top_k,
+                        to_global=partial(doc_key, shard_size),
+                    )
+                    pairs = [(r.doc_id, r.score) for r in run]
+                    conn.send(("ok", (pairs, scored, perf_counter() - started)))
                 else:
                     conn.send(
                         ("error", "WorkloadError", f"unknown request {op!r}")
@@ -429,42 +463,6 @@ def _shard_worker_main(conn, shard_index: int, shard_path: str, config) -> None:
         conn.close()
 
 
-def _score_shard_locally(
-    engine, query: Query, aggregate: AggregatedTermStats, config
-) -> List[Tuple[int, float]]:
-    """Match + globally score one shard; shard-local ``(id, score)`` run.
-
-    The same arithmetic as :meth:`ParallelQueryExecutor._shard_run` —
-    aggregated df/num_docs/avg length, shard-local document lengths —
-    but scored through the bulk :meth:`score_candidates` path and kept
-    in local-ID space (the parent owns the router).  Sorting by
-    ``(-score, local_id)`` matches the global sort because local IDs are
-    assigned in the same arrival order as global IDs within a shard.
-    """
-    candidates = engine.match(query)
-    if not candidates:
-        return []
-    position_of: Dict[int, int] = {}
-    for position, term in enumerate(query.terms):
-        term_id = engine.term_id(term)
-        if term_id is not None:
-            position_of[term_id] = position
-    projected: Dict[int, Dict[int, int]] = {}
-    for local_id, freqs in candidates.items():
-        projected[local_id] = {
-            position_of[term_id]: tf
-            for term_id, tf in freqs.items()
-            if term_id in position_of
-        }
-    stats = _ShardScopedStats(aggregate, engine.stats)
-    scorer = (
-        BM25Scorer(stats) if config.ranking == "bm25" else CosineScorer(stats)
-    )
-    run = scorer.score_candidates(projected)
-    run.sort(key=lambda pair: (-pair[1], pair[0]))
-    return run
-
-
 class ProcessShardExecutor:
     """Fans queries out to per-process shard engines (GIL-free scoring).
 
@@ -473,13 +471,14 @@ class ProcessShardExecutor:
     serves a small request protocol over a pipe.  Matching and bulk
     scoring then run on separate interpreters — true parallelism where
     the thread executor serializes CPU-bound work behind the GIL — at
-    the cost of per-query serialization (query + aggregate out, ranked
-    run back).
+    the cost of per-query serialization (query + aggregate out, the
+    shard's ``top_k`` winners back).
 
-    Statistics aggregation, global-ID translation, the heap merge, and
-    result verification all stay in the parent, using the identical
-    arithmetic of :class:`ParallelQueryExecutor`, so both executors
-    return byte-identical results over the same committed state.
+    Each worker runs the same :func:`shard_query` kernel as
+    :class:`ParallelQueryExecutor`; statistics aggregation, global-ID
+    translation, the heap merge, and result verification stay in the
+    parent, so both executors return byte-identical results over the
+    same committed state.
 
     **Snapshot semantics**: workers replay their journal at spawn time
     and see nothing committed afterwards.  Call :meth:`refresh` after
@@ -505,25 +504,11 @@ class ProcessShardExecutor:
         self.analyzer = analyzer or Analyzer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._metrics_on = bool(self.metrics.enabled)
-        self._c_fanout = self.metrics.counter(
-            "repro_fanout_queries_total",
-            "Queries fanned out across shards by the executor",
-        )
-        queue_family = self.metrics.histogram(
-            "repro_shard_queue_seconds",
-            "Time a shard sub-query waited for a fan-out worker",
-            labels=("shard",),
-        )
-        run_family = self.metrics.histogram(
-            "repro_shard_run_seconds",
-            "Time a shard sub-query spent matching and scoring",
-            labels=("shard",),
+        self._c_fanout, queue_family, self._run_series = (
+            _register_fanout_metrics(self.metrics, len(self.shard_paths))
         )
         self._queue_series = [
             queue_family.labels(shard=i) for i in range(len(self.shard_paths))
-        ]
-        self._run_series = [
-            run_family.labels(shard=i) for i in range(len(self.shard_paths))
         ]
         self._workers: Optional[List[Tuple[object, object]]] = None
         self._closed = False
@@ -555,7 +540,9 @@ class ProcessShardExecutor:
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_shard_worker_main,
-                args=(child_conn, index, path, self.config),
+                args=(
+                    child_conn, index, path, self.config, len(self.shard_paths)
+                ),
                 name=f"shard-query-{index}",
                 daemon=True,
             )
@@ -623,18 +610,22 @@ class ProcessShardExecutor:
         self._c_fanout.inc()
         aggregate = self._aggregate_from_workers(query.terms)
         submitted = perf_counter()
-        for _process, conn in self._workers:
-            conn.send(("query", query, aggregate))
+        for index, (_process, conn) in enumerate(self._workers):
+            shard_size = self.router.shard_size(index)
+            conn.send(("query", query, aggregate, top_k, shard_size))
         runs: List[List[SearchResult]] = []
         to_global = self.router.to_global
         for index, (_process, conn) in enumerate(self._workers):
-            local_run, run_seconds = self._receive(index, conn)
+            pairs, scored, run_seconds = self._receive(index, conn)
             received = perf_counter()
+            # Already in global order; see _shard_worker_main for keys.
             run = [
-                SearchResult(doc_id=to_global(index, local_id), score=score)
-                for local_id, score in local_run
+                SearchResult(
+                    doc_id=key if key < 0 else to_global(index, key),
+                    score=score,
+                )
+                for key, score in pairs
             ]
-            run.sort(key=_merge_key)
             runs.append(run)
             queue_seconds = max(0.0, received - submitted - run_seconds)
             if self._metrics_on:
@@ -647,20 +638,10 @@ class ProcessShardExecutor:
                     end=received,
                     shard=index,
                     queue_seconds=queue_seconds,
-                    results=len(run),
+                    scored=scored,
+                    kept=len(run),
                 )
-        merge_start = perf_counter()
-        merged = heapq.merge(*runs, key=_merge_key)
-        results = list(islice(merged, top_k))
-        if trace is not None:
-            trace.record(
-                "merge",
-                start=merge_start,
-                end=perf_counter(),
-                runs=len(runs),
-                results=len(results),
-            )
-        return results
+        return _merge_runs(runs, top_k, trace)
 
     def aggregate_term_stats(self, terms: Sequence[str]) -> AggregatedTermStats:
         """Cross-shard statistics for one query's terms (worker-reported).
@@ -688,13 +669,7 @@ class ProcessShardExecutor:
                 df[position] += count
             num_docs += shard_docs
             total_length += shard_length
-        if num_docs:
-            avg_doc_length = max(1.0, total_length / num_docs)
-        else:
-            avg_doc_length = 1.0
-        return AggregatedTermStats(
-            df=df, num_docs=num_docs, avg_doc_length=avg_doc_length
-        )
+        return AggregatedTermStats.from_sums(df, num_docs, total_length)
 
     def _receive(self, shard_index: int, conn):
         """One protocol reply; re-raises worker-side failures by type."""
@@ -712,11 +687,7 @@ class ProcessShardExecutor:
             exc = exc_type(message)
         else:
             exc = WorkloadError(f"{type_name}: {message}")
-        exc.shard_index = shard_index
-        if hasattr(exc, "add_note"):  # Python 3.11+
-            exc.add_note(
-                f"raised by shard {shard_index} during process fan-out"
-            )
+        _tag_shard_failure(exc, shard_index, "process fan-out")
         raise exc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

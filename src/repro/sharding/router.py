@@ -37,6 +37,15 @@ MAP_FILE = "shard/doc-map"
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
+def synthetic_global_id(shard_id: int, local_id: int, num_shards: int) -> int:
+    """The negative global ID standing in for an unmapped local ID.
+
+    Unique per ``(shard_id, local_id)`` and below every real global ID;
+    within one shard it falls as ``local_id`` grows.
+    """
+    return -(1 + shard_id + local_id * num_shards)
+
+
 def stable_shard(global_id: int, num_shards: int) -> int:
     """Deterministic shard for a global document ID (splitmix64 finalizer).
 
@@ -237,7 +246,7 @@ class ShardRouter:
         shard_globals = self._globals[shard_id]
         if 0 <= local_id < len(shard_globals):
             return shard_globals[local_id]
-        return -(1 + shard_id + local_id * self.num_shards)
+        return synthetic_global_id(shard_id, local_id, self.num_shards)
 
     def shard_size(self, shard_id: int) -> int:
         """Documents routed to ``shard_id`` so far."""

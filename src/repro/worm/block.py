@@ -18,9 +18,11 @@ trusted to refuse illegal ones.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import BlockBoundsError, WormViolationError
+
+_NO_SLOTS: Tuple[Optional[int], ...] = ()
 
 
 class Block:
@@ -48,7 +50,11 @@ class Block:
         self.capacity = capacity
         self.block_no = block_no
         self._data = bytearray()
-        self._slots: List[Optional[int]] = [None] * slot_count
+        # Most blocks reserve no slots; they share one empty tuple
+        # instead of allocating an empty list each.
+        self._slots: Sequence[Optional[int]] = (
+            [None] * slot_count if slot_count else _NO_SLOTS
+        )
         self._slots_set = 0
 
     # ------------------------------------------------------------------

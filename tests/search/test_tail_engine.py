@@ -340,3 +340,139 @@ class TestSealCrashRecovery:
         new_seg = recovered.seal_tail()
         assert new_seg is not None and new_seg >= 1
         recovered_device.close()
+
+
+class TestSizeTieredMerge:
+    """Auto-merge compacts the trailing run of one size tier at a time.
+
+    With ``tail_max_docs=1`` and ``merge_at_segments=2`` every seal holds
+    one document and two same-tier segments merge at once, so the live
+    segment sizes after ``n`` documents are exactly the binary digits of
+    ``n`` — a seal can cascade through several tiers.
+    """
+
+    CFG = tail_config(tail_max_docs=1, merge_at_segments=2)
+    TEXTS = DEFAULT_CORPUS * 3
+
+    def test_cascade_keeps_one_segment_per_tier(self):
+        tail_engine = TrustworthySearchEngine(self.CFG)
+        legacy_engine = TrustworthySearchEngine(LEGACY)
+        for n, text in enumerate(self.TEXTS, start=1):
+            tail_engine.index_document(text)
+            legacy_engine.index_document(text)
+            sizes = [s.info.doc_count for s in tail_engine.iter_segments()]
+            binary = [1 << b for b in reversed(range(n.bit_length())) if n >> b & 1]
+            assert sizes == binary, n
+            tiers = [tail_engine._size_tier(size) for size in sizes]
+            # at most merge_at_segments - 1 live segments per tier
+            assert len(set(tiers)) == len(tiers)
+            assert_equivalent(tail_engine, legacy_engine)
+
+    def test_explicit_merge_still_merges_everything(self):
+        tail_engine, legacy_engine = build_pair(self.CFG, self.TEXTS)
+        assert len(tail_engine.iter_segments()) == 2  # 18 = 16 + 2
+        assert tail_engine.merge_segments() is not None
+        (merged,) = tail_engine.iter_segments()
+        assert merged.info.doc_count == len(self.TEXTS)
+        assert_equivalent(tail_engine, legacy_engine)
+
+    def test_merges_retire_block_cache_keys(self):
+        tail_engine, _ = build_pair(self.CFG, self.TEXTS)
+        live = {
+            name
+            for segment in tail_engine.iter_segments()
+            for name in segment.list_file_names()
+        }
+        cached = {name for name, _ in tail_engine.store.cache._resident}
+        segment_files = {n for n in cached if n.startswith("engine/seg/")}
+        assert segment_files <= live
+
+
+class TestCascadeCrashRecovery:
+    """A crash anywhere in a seal that cascades into two merges.
+
+    Seven documents under ``tail_max_docs=2, merge_at_segments=2`` leave
+    segments of 4 and 2 documents plus one tail document; sealing it
+    gives 4 + 2 + 1, merges the trailing 2 + 1 into 3 (tier 1, like the
+    4) and then 4 + 3 into 7.  Each of the three manifest appends is an
+    atomic step, so a crash recovers to one of the four layouts in
+    between, always answering like the uncrashed reference.
+    """
+
+    CFG = tail_config(
+        tail_max_docs=2, merge_at_segments=2, branching=None, block_size=512
+    )
+    TEXTS = DEFAULT_CORPUS + ["zebra memo for the finance archive"]
+    LAYOUTS = ([4, 2], [4, 2, 1], [4, 3], [7])
+
+    def open(self, device):
+        return TrustworthySearchEngine(
+            self.CFG, store=CachedWormStore(None, device=device)
+        )
+
+    def prepare(self, path):
+        device = JournaledWormDevice(path, block_size=512)
+        engine = self.open(device)
+        for text in self.TEXTS:
+            engine.index_document(text)
+        assert [s.info.doc_count for s in engine.iter_segments()] == [4, 2]
+        device.close()
+
+    def count_seal_ops(self, tmp_path):
+        path = str(tmp_path / "dry.worm")
+        self.prepare(path)
+        plan = FaultPlan()
+        device = FaultInjectingWormDevice(path, plan=plan, block_size=512)
+        engine = self.open(device)
+        engine.seal_tail()
+        assert [s.info.doc_count for s in engine.iter_segments()] == [7]
+        # three seals and a merge before, a seal and two merges now
+        assert engine.segments_info()["manifest_records"] == 4 + 3
+        device.close()
+        return {
+            op: plan.count(f"{op}:between-log-and-apply")
+            for op in ("create", "append")
+        }
+
+    def test_crash_sweep_over_a_cascading_seal(self, tmp_path):
+        reference = TrustworthySearchEngine(self.CFG)
+        for text in self.TEXTS:
+            reference.index_document(text)
+        queries = QUERIES + ["zebra"]
+
+        ops = self.count_seal_ops(tmp_path)
+        cases = [
+            (op, stage, call)
+            for op, total in sorted(ops.items())
+            for call in range(1, total + 1)
+            for stage in ("between-log-and-apply", "after-apply")
+        ]
+        assert len(cases) > 100  # three commits' worth of list writes
+        seen = set()
+        for op, stage, call in cases:
+            path = str(tmp_path / f"{op}-{stage}-{call}.worm")
+            self.prepare(path)
+            plan = FaultPlan().crash(f"{op}:{stage}", on_call=call)
+            device = FaultInjectingWormDevice(path, plan=plan, block_size=512)
+            with pytest.raises(SimulatedCrashError):
+                self.open(device).seal_tail()
+            device.close()
+
+            recovered_device = JournaledWormDevice(path, block_size=512)
+            recovered = self.open(recovered_device)
+            layout = [s.info.doc_count for s in recovered.iter_segments()]
+            assert layout in self.LAYOUTS, (op, stage, call)
+            seen.add(tuple(layout))
+            assert_equivalent(recovered, reference, queries)
+            # The archive keeps working: the next seal finishes the
+            # interrupted cascade's work as ordinary tiered merging.
+            extra = "zebra closing memo"
+            recovered.index_document(extra)
+            recovered.seal_tail()
+            reference_after = TrustworthySearchEngine(self.CFG)
+            for text in self.TEXTS + [extra]:
+                reference_after.index_document(text)
+            assert_equivalent(recovered, reference_after, queries)
+            recovered_device.close()
+        # The sweep crossed every commit point of the cascade.
+        assert seen == {tuple(layout) for layout in self.LAYOUTS}

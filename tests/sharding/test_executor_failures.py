@@ -1,9 +1,9 @@
-"""Shard failures during parallel query fan-out.
+"""Shard failures during query fan-out.
 
-A query fans out to every shard on a thread pool; when one shard raises,
-the executor must cancel the sibling futures that have not started,
-preserve the exception type (``TamperDetectedError`` handling upstream
-depends on it), and attach the failing shard's index.
+A query runs every shard in order, inline; when one shard raises, the
+executor must not run any later shard, must preserve the exception type
+(``TamperDetectedError`` handling upstream depends on it), and must
+attach the failing shard's index.
 """
 
 import pytest
@@ -22,37 +22,6 @@ def engine():
         engine.index_document(f"compliance memo number{i} shared")
     with engine:
         yield engine
-
-
-class _RecordingFuture:
-    """Wraps a real future; records whether cancel() was attempted."""
-
-    def __init__(self, future):
-        self._future = future
-        self.cancel_attempts = 0
-
-    def result(self, timeout=None):
-        return self._future.result(timeout)
-
-    def cancel(self):
-        self.cancel_attempts += 1
-        return self._future.cancel()
-
-
-class _RecordingPool:
-    """Wraps the fan-out pool so tests can observe future cancellation."""
-
-    def __init__(self, pool):
-        self._pool = pool
-        self.futures = []
-
-    def submit(self, fn, *args, **kwargs):
-        future = _RecordingFuture(self._pool.submit(fn, *args, **kwargs))
-        self.futures.append(future)
-        return future
-
-    def shutdown(self, wait=True):
-        self._pool.shutdown(wait=wait)
 
 
 class TestShardFailurePropagation:
@@ -81,20 +50,23 @@ class TestShardFailurePropagation:
         assert excinfo.value.shard_index == 2
         assert excinfo.value.invariant == "posting-crc"
 
-    def test_sibling_futures_are_cancelled(self, engine):
-        def boom(query):
-            raise RuntimeError("shard 0 down")
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_later_shards_never_match(self, engine, failing):
+        calls = []
+        for index, shard in enumerate(engine.shards):
+            original = shard.match
 
-        engine.shards[0].match = boom
-        executor = engine.executor
-        executor._pool = _RecordingPool(executor.pool)
-        with pytest.raises(RuntimeError):
+            def recording(query, *, _index=index, _original=original, **kw):
+                calls.append(_index)
+                if _index == failing:
+                    raise RuntimeError(f"shard {_index} down")
+                return _original(query, **kw)
+
+            shard.match = recording
+        with pytest.raises(RuntimeError) as excinfo:
             engine.search("shared", verify=False)
-        pool = executor._pool
-        assert len(pool.futures) == 3
-        # Every outstanding future got a cancellation attempt (including
-        # the failed one — cancelling a done future is a cheap no-op).
-        assert all(f.cancel_attempts == 1 for f in pool.futures)
+        assert excinfo.value.shard_index == failing
+        assert calls == list(range(failing + 1))
 
     def test_healthy_queries_still_work_after_a_failure(self, engine):
         original = engine.shards[1].match
@@ -117,5 +89,6 @@ class TestShardFailurePropagation:
             raise RuntimeError("no pool involved")
 
         engine.shards[0].match = boom
-        with engine, pytest.raises(RuntimeError, match="no pool involved"):
+        with engine, pytest.raises(RuntimeError, match="no pool involved") as exc:
             engine.search("doc", verify=False)
+        assert exc.value.shard_index == 0

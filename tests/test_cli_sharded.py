@@ -78,13 +78,7 @@ class TestShardedRoundTrip:
             "--text", "unrelated finance audit",
         )
         capsys.readouterr()
-        assert (
-            run(
-                "search", "--archive", archive, "imclone",
-                "--workers", "2",
-            )
-            == 0
-        )
+        assert run("search", "--archive", archive, "imclone") == 0
         out = capsys.readouterr().out
         assert "doc 0" in out
         assert "doc 1" in out
