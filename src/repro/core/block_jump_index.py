@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.posting import Posting
-from repro.core.posting_list import PostingCursor, PostingList
+from repro.core.posting_list import BEYOND_BLOCK, PostingCursor, PostingList
 from repro.core import space as space_model
 from repro.errors import IndexError_, TamperDetectedError
 from repro.worm.storage import CachedWormStore
@@ -342,17 +342,11 @@ class BlockJumpIndex:
         cursor are free, so repeated calls during a zigzag join cost only
         the *new* blocks they touch — the paper's "blocks read" metric.
         """
-        if cursor.exhausted:
-            return None
-        if cursor.current_doc >= k:
-            return cursor.current
-        # Cheap path: the target may be in the cursor's current block.
+        # Cheap path: the target is within the cursor's loaded block.
+        doc = cursor.seek_in_block(k)
+        if doc != BEYOND_BLOCK:
+            return None if doc is None else cursor.current
         cur_block, cur_idx = cursor.position
-        entries = cursor.peek_block(cur_block)
-        if entries.doc_ids[-1] >= k:
-            idx = bisect_left(entries.doc_ids, k, lo=cur_idx)
-            cursor.jump_to(cur_block, idx)
-            return None if cursor.exhausted else cursor.current
         # If even the tail block tops out below k, nothing qualifies.
         tail_no = self.posting_list.num_blocks - 1
         if cursor.peek_block(tail_no).doc_ids[-1] < k:

@@ -22,7 +22,19 @@ cache (insert-path experiments) and in a per-list / per-cursor counter
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.errors import DocumentIdOrderError, IndexError_, TamperDetectedError
 from repro.core.posting import (
@@ -303,11 +315,63 @@ class PostingList:
         )
 
 
+def collect_term_frequencies(
+    posting_lists: Iterable[PostingList],
+    wanted: Collection[int],
+    candidates: Dict[int, Dict[int, int]],
+    *,
+    cached: bool = False,
+) -> int:
+    """Max-merge the wanted terms' postings into ``candidates``.
+
+    The disjunctive scan: every entry of every list is read, and each
+    posting of a wanted term raises ``candidates[doc_id][term_id]`` to
+    its unpacked within-document frequency (at least 1).  Returns the
+    entries scanned (the workload cost Q of Section 3.1).  ``cached``
+    serves blocks through each list's read cache (query path).
+    """
+    entries = 0
+    for posting_list in posting_lists:
+        # Columnar scan: per block, two flat integer columns instead of a
+        # Posting object per entry; the unpack is inlined.
+        for docs, codes in posting_list.scan_columns(counted=False, cached=cached):
+            entries += len(docs)
+            for doc_id, code in zip(docs, codes):
+                term_id = code & MAX_TERM_ID_WITH_TF
+                if term_id in wanted:
+                    tf_map = candidates.setdefault(doc_id, {})
+                    tf = code >> 24
+                    if tf < 1:
+                        tf = 1
+                    if tf > tf_map.get(term_id, 0):
+                        tf_map[term_id] = tf
+    return entries
+
+
+#: :meth:`PostingCursor.seek_in_block`'s answer when the target lies beyond
+#: the loaded block (the cursor has not moved).  Document IDs are never
+#: negative, so it cannot collide with a real answer.
+BEYOND_BLOCK = -1
+
+
+def _term_matches(entries: DecodedBlock, want: int) -> Tuple[List[int], List[int]]:
+    """Positions of ``want``'s entries in a block, and their doc IDs.
+
+    One numpy mask over the term-code column (the packed-frequency byte
+    masked off) instead of a per-entry Python comparison.
+    """
+    codes = np.asarray(entries.term_codes)
+    positions = np.flatnonzero((codes & MAX_TERM_ID_WITH_TF) == want)
+    docs = np.asarray(entries.doc_ids)[positions]
+    return positions.tolist(), docs.tolist()
+
+
 class PostingCursor:
     """Forward-only iterator over a posting list with block-read counting.
 
     The cursor is the abstraction the zigzag join drives: it exposes the
-    current posting, sequential advance, and (via an attached jump index)
+    current posting, sequential advance, FindGeq's in-block case
+    (:meth:`seek_in_block`) and, via an attached jump index, the full
     ``find_geq``.  Distinct blocks loaded are tracked in
     :attr:`blocks_read` — re-visiting a block already read during this
     cursor's lifetime is free, modelling the query processor's in-memory
@@ -322,7 +386,10 @@ class PostingCursor:
         "remove false positives" filter a merged list requires.  The
         comparison masks off the packed-frequency metadata byte, so both
         raw term codes and :func:`~repro.core.posting.pack_term_tf`-coded
-        postings filter correctly.
+        postings filter correctly.  The wanted term's entry positions are
+        computed once per block the cursor enters, so stepping and
+        in-block seeks are one ``bisect`` over that block's matching doc
+        IDs, never a scan of the other terms' entries.
     """
 
     def __init__(self, posting_list: PostingList, *, term_code: Optional[int] = None):
@@ -338,13 +405,19 @@ class PostingCursor:
         #: engine runs cache-off).
         self.cache_hits = 0
         # Decoded blocks already paid for during this cursor's lifetime —
-        # the query processor's in-memory block cache.
+        # the query processor's in-memory block cache — and, for a
+        # term-filtered cursor, each entered block's `_term_matches`.
         self._decoded: dict = {}
+        self._matches: dict = {}
         self._block_no = -1
-        self._entries: DecodedBlock = DecodedBlock.from_payload(b"")
-        self._docs: Sequence[int] = self._entries.doc_ids
-        self._codes: Sequence[int] = self._entries.term_codes
-        self._index = 0
+        self._docs: Sequence[int] = ()
+        self._codes: Sequence[int] = ()
+        # Positions of the loaded block's entries the cursor stops at (all
+        # of them when unfiltered) and their doc IDs; the cursor stands at
+        # entry ``_positions[_j]``.
+        self._positions: Sequence[int] = ()
+        self._match_docs: Sequence[int] = ()
+        self._j = 0
         self._exhausted = posting_list.num_blocks == 0
         if not self._exhausted:
             self._load_block(0)
@@ -371,7 +444,8 @@ class PostingCursor:
             raise IndexError_(
                 f"cursor over '{self.posting_list.name}' is exhausted"
             )
-        return Posting(self._docs[self._index], self._codes[self._index])
+        index = self._positions[self._j]
+        return Posting(self._docs[index], self._codes[index])
 
     @property
     def current_doc(self) -> int:
@@ -386,12 +460,15 @@ class PostingCursor:
             raise IndexError_(
                 f"cursor over '{self.posting_list.name}' is exhausted"
             )
-        return self._docs[self._index]
+        return self._match_docs[self._j]
 
     @property
     def position(self) -> Tuple[int, int]:
         """``(block_no, index_within_block)`` of the current posting."""
-        return self._block_no, self._index
+        positions = self._positions
+        j = self._j
+        index = positions[j] if j < len(positions) else len(self._docs)
+        return self._block_no, index
 
     # ------------------------------------------------------------------
     # movement
@@ -400,8 +477,32 @@ class PostingCursor:
         """Move to the next matching posting (sequentially)."""
         if self._exhausted:
             return
-        self._index += 1
+        self._j += 1
         self._settle()
+
+    def seek_in_block(self, doc_id: int) -> Optional[int]:
+        """FindGeq's in-block case: one ``bisect`` in the loaded block.
+
+        When ``doc_id`` is at most the loaded block's largest ID, moves to
+        the first matching posting with ID >= ``doc_id`` — in this block,
+        or by stepping into the following blocks when this block's
+        matches all lie below it, exactly as :meth:`advance` would — and
+        returns its doc ID (``None`` once exhausted).  When ``doc_id`` is
+        beyond the loaded block, leaves the cursor where it is and returns
+        :data:`BEYOND_BLOCK`: only then does a seek need jump-pointer
+        navigation or a sequential scan.
+        """
+        if self._exhausted:
+            return None
+        docs = self._docs
+        if not docs or docs[-1] < doc_id:
+            return BEYOND_BLOCK
+        match_docs = self._match_docs
+        j = self._j = bisect_left(match_docs, doc_id, self._j)
+        if j < len(match_docs):
+            return match_docs[j]
+        self._settle()
+        return None if self._exhausted else self._match_docs[self._j]
 
     def seek_geq_sequential(self, doc_id: int) -> None:
         """Advance until ``current.doc_id >= doc_id`` (pure scan).
@@ -412,22 +513,15 @@ class PostingCursor:
 
         Every block between the cursor and the target is still loaded
         (sequential semantics — identical block-read accounting to the
-        element-wise scan), but within each block the position advances
-        with one ``bisect`` over the sorted doc-ID column instead of
-        per-posting steps.
+        element-wise scan), but within the target block the position
+        moves with one :meth:`seek_in_block` instead of per-posting steps.
         """
-        while not self._exhausted:
-            docs = self._docs
-            if docs and docs[-1] >= doc_id:
-                self._index = bisect_left(docs, doc_id, self._index)
-                self._settle()
-                return
+        while self.seek_in_block(doc_id) == BEYOND_BLOCK:
             next_block = self._block_no + 1
             if next_block >= self.posting_list.num_blocks:
                 self._exhausted = True
                 return
             self._load_block(next_block)
-            self._index = 0
 
     def exhaust(self) -> None:
         """Mark the cursor exhausted without scanning the remaining blocks.
@@ -445,7 +539,7 @@ class PostingCursor:
                 f"backwards (block {block_no} < {self._block_no})"
             )
         self._load_block(block_no)
-        self._index = index
+        self._j = bisect_left(self._positions, index)
         self._exhausted = False
         self._settle()
 
@@ -453,15 +547,21 @@ class PostingCursor:
     # internals
     # ------------------------------------------------------------------
     def _load_block(self, block_no: int) -> None:
+        """Enter block ``block_no`` at its first matching entry."""
         self._block_no = block_no
         entries = self.peek_block(block_no)
-        self._entries = entries
-        if isinstance(entries, DecodedBlock):
-            self._docs = entries.doc_ids
-            self._codes = entries.term_codes
+        self._docs = entries.doc_ids
+        self._codes = entries.term_codes
+        if self._want is None:
+            self._positions = range(len(entries))
+            self._match_docs = entries.doc_ids
         else:
-            self._docs = [p.doc_id for p in entries]
-            self._codes = [p.term_code for p in entries]
+            matches = self._matches.get(block_no)
+            if matches is None:
+                matches = _term_matches(entries, self._want)
+                self._matches[block_no] = matches
+            self._positions, self._match_docs = matches
+        self._j = 0
 
     def peek_block(self, block_no: int) -> DecodedBlock:
         """Load a block's entries *without* moving the cursor.
@@ -481,36 +581,15 @@ class PostingCursor:
                 self.cache_hits += 1
         return entries
 
-    def block_entries(self) -> DecodedBlock:
-        """Entries of the currently loaded block (already paid for)."""
-        return self._entries
-
-    def block_doc_ids(self) -> Sequence[int]:
-        """Doc-ID column of the currently loaded block (already paid for)."""
-        return self._docs
-
     def _settle(self) -> None:
-        """Advance over block boundaries and filtered-out term codes."""
-        want = self._want
-        while True:
-            codes = self._codes
-            index = self._index
-            if index >= len(codes):
-                next_block = self._block_no + 1
-                if next_block >= self.posting_list.num_blocks:
-                    self._exhausted = True
-                    return
-                self._load_block(next_block)
-                self._index = 0
-                continue
-            if want is not None:
-                size = len(codes)
-                while index < size and codes[index] & MAX_TERM_ID_WITH_TF != want:
-                    index += 1
-                self._index = index
-                if index >= size:
-                    continue
-            return
+        """Step into the following blocks while past the loaded block's
+        last matching entry."""
+        while self._j >= len(self._positions):
+            next_block = self._block_no + 1
+            if next_block >= self.posting_list.num_blocks:
+                self._exhausted = True
+                return
+            self._load_block(next_block)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "exhausted" if self._exhausted else f"at {self.position}"

@@ -34,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.merge import PopularUnmergedMerge, UniformHashMerge
 from repro.core.posting import MAX_TERM_ID_WITH_TF
-from repro.core.posting_list import PostingList
+from repro.core.posting_list import PostingList, collect_term_frequencies
 from repro.errors import TamperDetectedError, WorkloadError
 from repro.search.join import MergedListCursor, conjunctive_join
 
@@ -495,27 +495,16 @@ class SealedSegment:
         """Max-merge the wanted terms' postings into ``candidates``
         (disjunctive path); returns entries scanned."""
         wanted_set = set(wanted)
-        entries = 0
-        for list_id in sorted({self.list_for(t) for t in wanted_set}):
-            posting_list = self._attach(list_id)
-            if posting_list is None:
-                continue
-            # Columnar scan: per block, two flat integer columns instead
-            # of a Posting object per entry; the unpack is inlined.
-            for docs, codes in posting_list.scan_columns(
-                counted=False, cached=cached
-            ):
-                entries += len(docs)
-                for doc_id, code in zip(docs, codes):
-                    term_id = code & MAX_TERM_ID_WITH_TF
-                    if term_id in wanted_set:
-                        tf_map = candidates.setdefault(doc_id, {})
-                        tf = code >> 24
-                        if tf < 1:
-                            tf = 1
-                        if tf > tf_map.get(term_id, 0):
-                            tf_map[term_id] = tf
-        return entries
+        attached = (
+            self._attach(list_id)
+            for list_id in sorted({self.list_for(t) for t in wanted_set})
+        )
+        return collect_term_frequencies(
+            (pl for pl in attached if pl is not None),
+            wanted_set,
+            candidates,
+            cached=cached,
+        )
 
     # ------------------------------------------------------------------
     # maintenance / audit

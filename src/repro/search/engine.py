@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.merge import MergeStrategy, TermAssignment, UniformHashMerge
 from repro.core.posting import MAX_TERM_ID_WITH_TF, pack_term_tf
-from repro.core.posting_list import PostingList
+from repro.core.posting_list import PostingList, collect_term_frequencies
 from repro.core.segments import (
     STRATEGY_POPULAR,
     STRATEGY_UNIFORM,
@@ -1104,7 +1104,9 @@ class TrustworthySearchEngine:
         collection statistics.
 
         Returns a mapping of ``doc_id -> {term_id: tf}`` where term IDs
-        are engine-local (translate via :meth:`term_text`).
+        are engine-local (translate via :meth:`term_text`).  Conjunctive
+        matches all share one presence map (every query term at tf 1),
+        so treat the inner maps as read-only.
 
         With the read cache enabled, the whole retrieval phase is served
         from the query-result tier when the per-term list-length
@@ -1135,9 +1137,14 @@ class TrustworthySearchEngine:
                 doc_ids, _ = self.conjunctive_doc_ids(
                     query.terms, trace=trace
                 )
-            candidates = {
-                d: self._result_term_freqs(d, query.terms) for d in doc_ids
-            }
+            # Conjunctive results are scored on term presence (tf=1); the
+            # one read-only presence map is shared by every candidate.
+            presence: Dict[int, int] = {}
+            for term in query.terms:
+                term_id = self.term_id(term)
+                if term_id is not None:
+                    presence[term_id] = 1
+            candidates = dict.fromkeys(doc_ids, presence)
         elif self._tail is not None:
             candidates = self._disjunctive_tail(query.terms, trace=trace)
         else:
@@ -1243,27 +1250,13 @@ class TrustworthySearchEngine:
         block_stats = self.read_cache.blocks.stats if use_cache else None
         hits_before = block_stats.hits if block_stats is not None else 0
         with self._stage("scan", trace, lists=len(list_ids)) as span:
-            entries = 0
-            for list_id in list_ids:
-                posting_list = self._existing_list(list_id)
-                if posting_list is None:
-                    continue
-                # Columnar scan: per block, two flat integer columns
-                # instead of a Posting object per entry (decode and
-                # unpack are batch/inline work, no allocations).
-                for docs, codes in posting_list.scan_columns(
-                    counted=False, cached=use_cache
-                ):
-                    entries += len(docs)
-                    for doc_id, code in zip(docs, codes):
-                        term_id = code & MAX_TERM_ID_WITH_TF
-                        if term_id in wanted:
-                            tf_map = candidates.setdefault(doc_id, {})
-                            tf = code >> 24
-                            if tf < 1:
-                                tf = 1
-                            if tf > tf_map.get(term_id, 0):
-                                tf_map[term_id] = tf
+            existing = (self._existing_list(list_id) for list_id in list_ids)
+            entries = collect_term_frequencies(
+                (pl for pl in existing if pl is not None),
+                wanted,
+                candidates,
+                cached=use_cache,
+            )
             if self._metrics_on:
                 self._c_scan_entries.inc(entries)
             if span is not None:
@@ -1425,14 +1418,6 @@ class TrustworthySearchEngine:
                         block_cache_hits=sum(c.cache_hits() for c in cursors)
                     )
         return doc_ids, blocks
-
-    def _result_term_freqs(
-        self, doc_id: int, terms: Sequence[str]
-    ) -> Dict[int, int]:
-        """Presence map (tf=1) for scoring conjunctive results."""
-        return {
-            self.term_id(t): 1 for t in terms if self.term_id(t) is not None
-        }
 
     # ------------------------------------------------------------------
     # operational statistics

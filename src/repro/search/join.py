@@ -22,11 +22,62 @@ from typing import List, Optional, Sequence, Tuple
 from repro.baselines.bplus_tree import BPlusTree
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.posting import MAX_TERM_ID_WITH_TF
-from repro.core.posting_list import PostingList
+from repro.core.posting_list import BEYOND_BLOCK, PostingList
 from repro.errors import QueryError
 
 
-class MergedListCursor:
+class _ListCursor:
+    """Seek and accounting shared by the cursors over one posting list."""
+
+    def __init__(
+        self,
+        posting_list: PostingList,
+        *,
+        term_code: Optional[int],
+        jump_index: Optional[BlockJumpIndex],
+    ):
+        self.jump_index = jump_index
+        self._cursor = posting_list.cursor(term_code=term_code)
+        #: Seek operations performed (the paper's FindGeq count).
+        self.seeks = 0
+
+    def doc(self) -> Optional[int]:
+        """Current document ID (``None`` when exhausted)."""
+        if self._cursor.exhausted:
+            return None
+        return self._cursor.current_doc
+
+    def seek_geq(self, k: int) -> Optional[int]:
+        """Advance to the first kept posting with ID >= ``k``.
+
+        A target within the loaded block costs one in-block ``bisect``;
+        only a target beyond it navigates jump pointers (or scans, without
+        a jump index).  Either way the seek, every block read and every
+        followed pointer are counted.
+        """
+        cursor = self._cursor
+        if cursor.exhausted:
+            return None
+        self.seeks += 1
+        doc = cursor.seek_in_block(k)
+        if doc != BEYOND_BLOCK:
+            return doc
+        if self.jump_index is not None:
+            self.jump_index.find_geq(cursor, k)
+        else:
+            cursor.seek_geq_sequential(k)
+        return self.doc()
+
+    def blocks_read(self) -> int:
+        """Distinct posting-list blocks this cursor loaded."""
+        return len(self._cursor.blocks_read)
+
+    def cache_hits(self) -> int:
+        """Block loads served by the shared read cache (0 cache-off)."""
+        return self._cursor.cache_hits
+
+
+class MergedListCursor(_ListCursor):
     """Seekable cursor over one (merged) posting list, term-filtered.
 
     With a :class:`~repro.core.block_jump_index.BlockJumpIndex` attached,
@@ -42,42 +93,14 @@ class MergedListCursor:
         jump_index: Optional[BlockJumpIndex] = None,
         length_hint: Optional[int] = None,
     ):
-        self.jump_index = jump_index
-        self._cursor = posting_list.cursor(term_code=term_code)
+        super().__init__(posting_list, term_code=term_code, jump_index=jump_index)
         self._length_hint = length_hint
-        #: Seek operations performed (the paper's FindGeq count).
-        self.seeks = 0
-
-    def doc(self) -> Optional[int]:
-        """Current document ID (``None`` when exhausted)."""
-        if self._cursor.exhausted:
-            return None
-        return self._cursor.current_doc
-
-    def seek_geq(self, k: int) -> Optional[int]:
-        """Advance to the first matching posting with ID >= ``k``."""
-        if self._cursor.exhausted:
-            return None
-        self.seeks += 1
-        if self.jump_index is not None:
-            self.jump_index.find_geq(self._cursor, k)
-        else:
-            self._cursor.seek_geq_sequential(k)
-        return self.doc()
 
     def estimated_length(self) -> int:
         """Join-ordering hint: filtered length if known, else list length."""
         if self._length_hint is not None:
             return self._length_hint
         return len(self._cursor.posting_list)
-
-    def blocks_read(self) -> int:
-        """Distinct posting-list blocks this cursor loaded."""
-        return len(self._cursor.blocks_read)
-
-    def cache_hits(self) -> int:
-        """Block loads served by the shared read cache (0 cache-off)."""
-        return self._cursor.cache_hits
 
 
 class TreeCursor:
@@ -190,7 +213,7 @@ def conjunctive_join(cursors: Sequence) -> Tuple[List[int], int]:
     return result, blocks
 
 
-class RawMergedCursor:
+class RawMergedCursor(_ListCursor):
     """Doc-ID-granularity cursor over a merged list (paper join semantics).
 
     The paper's engine zigzags over the merged lists *unfiltered* — every
@@ -209,28 +232,8 @@ class RawMergedCursor:
         *,
         jump_index: Optional[BlockJumpIndex] = None,
     ):
-        self.jump_index = jump_index
+        super().__init__(posting_list, term_code=None, jump_index=jump_index)
         self.wanted_codes = set(int(c) & MAX_TERM_ID_WITH_TF for c in wanted_codes)
-        self._cursor = posting_list.cursor()
-        #: Seek operations performed (the paper's FindGeq count).
-        self.seeks = 0
-
-    def doc(self) -> Optional[int]:
-        """Current document ID (``None`` when exhausted)."""
-        if self._cursor.exhausted:
-            return None
-        return self._cursor.current_doc
-
-    def seek_geq(self, k: int) -> Optional[int]:
-        """Advance to the first posting (any term) with ID >= ``k``."""
-        if self._cursor.exhausted:
-            return None
-        self.seeks += 1
-        if self.jump_index is not None:
-            self.jump_index.find_geq(self._cursor, k)
-        else:
-            self._cursor.seek_geq_sequential(k)
-        return self.doc()
 
     def doc_has_codes(self, doc_id: int) -> bool:
         """Whether the entries for ``doc_id`` cover all wanted term codes.
@@ -258,14 +261,6 @@ class RawMergedCursor:
     def estimated_length(self) -> int:
         """Join-ordering hint: the raw merged-list length."""
         return len(self._cursor.posting_list)
-
-    def blocks_read(self) -> int:
-        """Distinct posting-list blocks this cursor loaded."""
-        return len(self._cursor.blocks_read)
-
-    def cache_hits(self) -> int:
-        """Block loads served by the shared read cache (0 cache-off)."""
-        return self._cursor.cache_hits
 
 
 def paper_conjunctive_join(cursors: Sequence[RawMergedCursor]) -> Tuple[List[int], int]:

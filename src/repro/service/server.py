@@ -437,18 +437,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(raw)))
-        if self.service.draining:
+        # Draining, or a request whose body was left unread.
+        closing = self.service.draining or self.close_connection
+        if closing:
             self.close_connection = True
             self.send_header("Connection", "close")
         for name, value in headers.items():
-            if name.lower() != "connection" or not self.service.draining:
+            if name.lower() != "connection" or not closing:
                 self.send_header(name, value)
         self.end_headers()
         self.wfile.write(raw)
 
     def _read_body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length", "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # Without a length the body cannot be skipped: answer, then
+            # close instead of parsing the body as the next request.
+            self.close_connection = True
+            raise SchemaError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
         if length > self.service.config.max_body_bytes:
+            self.close_connection = True
             raise SchemaError(
                 f"request body of {length} bytes exceeds the "
                 f"{self.service.config.max_body_bytes}-byte limit"

@@ -7,6 +7,8 @@ discipline under real thread interleavings, and the graceful-drain
 contract (no accepted request is lost).
 """
 
+import json
+import socket
 import threading
 import time
 from dataclasses import replace
@@ -93,6 +95,43 @@ class TestEndToEnd:
             finally:
                 service.admission.gate.leave()
             assert client.search("imclone")  # slot free again
+
+
+class TestMalformedContentLength:
+    """A body length the server cannot trust is answered, never waited on."""
+
+    @staticmethod
+    def _raw_post(server, content_length: str) -> bytes:
+        request = (
+            "POST /search HTTP/1.1\r\n"
+            f"Host: {server.host}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n"
+            "\r\n"
+            '{"query": "imclone"}'
+        ).encode("ascii")
+        with socket.create_connection((server.host, server.port)) as sock:
+            sock.settimeout(2 * FAST.request_timeout)
+            sock.sendall(request)
+            chunks = []
+            while True:  # until the server closes the connection
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
+
+    @pytest.mark.parametrize("content_length", ["abc", "-1", "1_0", ""])
+    def test_bad_request_then_close_well_inside_timeout(
+        self, server, content_length
+    ):
+        started = time.perf_counter()
+        reply = self._raw_post(server, content_length)
+        elapsed = time.perf_counter() - started
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        assert b"connection: close" in head.lower()
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert elapsed < FAST.request_timeout / 4, elapsed
 
 
 class TestSnapshotConsistency:
